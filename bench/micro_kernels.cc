@@ -2,10 +2,13 @@
  * @file
  * BENCH-K: inference-kernel microbenchmark -> BENCH_kernels.json.
  *
- * Three sections:
+ * Four sections:
  *
  *  - gemm: measured GFLOP/s of the scalar Reference and Blocked
  *    float GEMMs plus the int8 GEMM (GOP/s) over square sizes.
+ *  - served_gemm: Reference and Blocked GFLOP/s on the batch-1 GEMM
+ *    shapes the served zoo actually runs (conv layers as filters x
+ *    C*K*K x OH*OW, dense layers as 1 x features x outputs).
  *  - inference: per-inference forward latency of every zoo
  *    architecture, float vs int8-quantized, both measured wall-clock
  *    and the deterministic modeled service latency (overhead +
@@ -72,25 +75,31 @@ timeIt(Fn &&fn)
 
 struct GemmSample
 {
-    std::size_t size = 0;
+    std::size_t m = 0, k = 0, n = 0;
     double scalarGflops = 0.0;
     double blockedGflops = 0.0;
     double int8Gops = 0.0;
     double blockedSpeedup = 0.0;
 };
 
+/**
+ * Float GEMM throughput of both backends on one m x k x n shape;
+ * operands come from random streams `seed` and `seed + 1`.
+ */
 GemmSample
-benchGemm(std::size_t size)
+benchFloatGemm(std::size_t m, std::size_t k, std::size_t n,
+               std::uint64_t seed)
 {
-    std::size_t m = size, k = size, n = size;
-    auto a = randomBuffer(m * k, size);
-    auto b = randomBuffer(k * n, size + 1);
+    auto a = randomBuffer(m * k, seed);
+    auto b = randomBuffer(k * n, seed + 1);
     std::vector<float> c(m * n);
     double flops = 2.0 * static_cast<double>(m) *
                    static_cast<double>(k) * static_cast<double>(n);
 
     GemmSample s;
-    s.size = size;
+    s.m = m;
+    s.k = k;
+    s.n = n;
     double scalar = timeIt([&] {
         std::fill(c.begin(), c.end(), 0.0f);
         tensor::kernels::gemmF32Reference(a.data(), b.data(),
@@ -104,6 +113,19 @@ benchGemm(std::size_t size)
     s.scalarGflops = flops / scalar / 1e9;
     s.blockedGflops = flops / blocked / 1e9;
     s.blockedSpeedup = scalar / blocked;
+    return s;
+}
+
+/** Square float GEMMs plus the int8 GEMM at the same size. */
+GemmSample
+benchGemm(std::size_t size)
+{
+    std::size_t m = size, k = size, n = size;
+    GemmSample s = benchFloatGemm(m, k, n, size);
+    auto a = randomBuffer(m * k, size);
+    auto b = randomBuffer(k * n, size + 1);
+    double flops = 2.0 * static_cast<double>(m) *
+                   static_cast<double>(k) * static_cast<double>(n);
 
     std::vector<std::int8_t> qa(m * k), qb(k * n);
     tensor::QuantParams qp = tensor::chooseQuantParams(-1.0f, 1.0f);
@@ -151,8 +173,25 @@ main(int argc, char **argv)
         const GemmSample &s = gemm.back();
         std::printf("gemm %4zu^3: scalar %7.2f GF/s  blocked %7.2f "
                     "GF/s (%.2fx)  int8 %7.2f GOP/s\n",
-                    s.size, s.scalarGflops, s.blockedGflops,
+                    s.m, s.scalarGflops, s.blockedGflops,
                     s.blockedSpeedup, s.int8Gops);
+    }
+
+    // Every GEMM a batch-1 zoo forward pass issues.
+    const std::size_t served_shapes[][3] = {
+        {16, 9, 144},   {32, 144, 144}, {48, 288, 36},
+        {48, 432, 36},  {24, 108, 144}, {32, 216, 36},
+        {1, 432, 96},   {1, 1152, 64},
+    };
+    std::vector<GemmSample> served;
+    for (const auto &shape : served_shapes) {
+        served.push_back(benchFloatGemm(shape[0], shape[1], shape[2],
+                                        1000 + 2 * served.size()));
+        const GemmSample &s = served.back();
+        std::printf("served %2zux%4zux%3zu: scalar %7.2f GF/s  "
+                    "blocked %7.2f GF/s (%.2fx)\n",
+                    s.m, s.k, s.n, s.scalarGflops, s.blockedGflops,
+                    s.blockedSpeedup);
     }
 
     // Zoo architectures, float vs quantized, batch-1 forward.
@@ -203,11 +242,23 @@ main(int argc, char **argv)
         json.beginArray("gemm");
         for (const auto &s : gemm) {
             json.beginObject();
-            json.member("size", s.size);
+            json.member("size", s.m);
             json.member("scalar_gflops", s.scalarGflops);
             json.member("blocked_gflops", s.blockedGflops);
             json.member("blocked_speedup", s.blockedSpeedup);
             json.member("int8_gops", s.int8Gops);
+            json.endObject();
+        }
+        json.endArray();
+        json.beginArray("served_gemm");
+        for (const auto &s : served) {
+            json.beginObject();
+            json.member("m", s.m);
+            json.member("k", s.k);
+            json.member("n", s.n);
+            json.member("scalar_gflops", s.scalarGflops);
+            json.member("blocked_gflops", s.blockedGflops);
+            json.member("blocked_speedup", s.blockedSpeedup);
             json.endObject();
         }
         json.endArray();
@@ -234,7 +285,7 @@ main(int argc, char **argv)
                          "FAIL: blocked GEMM speedup %.2fx < "
                          "required %.2fx at size %zu\n",
                          big.blockedSpeedup, assert_speedup,
-                         big.size);
+                         big.m);
             return 1;
         }
         for (const auto &s : inference) {

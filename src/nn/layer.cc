@@ -23,9 +23,15 @@ Conv2d::forward(const Tensor &in, bool train)
 {
     if (train)
         input_ = in;
-    lastMacs_ = tensor::convMacs(in.dim(0), in.dim(1), in.dim(2),
-                                 in.dim(3), w_.value.dim(0), g_);
     return tensor::conv2dForward(in, w_.value, b_.value, g_);
+}
+
+std::uint64_t
+Conv2d::macs(const tensor::Shape &in) const
+{
+    TT_ASSERT(in.size() == 4, "conv2d expects NCHW");
+    return tensor::convMacs(in[0], in[1], in[2], in[3],
+                            w_.value.dim(0), g_);
 }
 
 Tensor
@@ -53,11 +59,16 @@ Dense::forward(const Tensor &in, bool train)
     TT_ASSERT(in.rank() == 2, "dense expects [N, features]");
     if (train)
         input_ = in;
-    lastMacs_ =
-        tensor::denseMacs(in.dim(0), in.dim(1), w_.value.dim(1));
     Tensor out = tensor::matmul(in, w_.value);
     tensor::addBiasRows(out, b_.value);
     return out;
+}
+
+std::uint64_t
+Dense::macs(const tensor::Shape &in) const
+{
+    TT_ASSERT(in.size() == 2, "dense expects [N, features]");
+    return tensor::denseMacs(in[0], in[1], w_.value.dim(1));
 }
 
 Tensor
@@ -80,7 +91,6 @@ Relu::forward(const Tensor &in, bool train)
 {
     if (train)
         input_ = in;
-    lastMacs_ = 0;
     return tensor::reluForward(in);
 }
 
@@ -99,13 +109,13 @@ MaxPool2d::MaxPool2d(std::size_t kernel, std::size_t stride)
 }
 
 Tensor
-MaxPool2d::forward(const Tensor &in, bool)
+MaxPool2d::forward(const Tensor &in, bool train)
 {
+    if (!train)
+        return tensor::maxPool2dForward(in, kernel_, stride_, nullptr);
     inShape_ = in.shape();
-    lastMacs_ = 0;
-    // The member argmax buffer is reused across calls, so a warm
-    // forward pass performs no heap allocation here.
-    return tensor::maxPool2dForward(in, kernel_, stride_, argmax_);
+    // The member argmax buffer is reused across training calls.
+    return tensor::maxPool2dForward(in, kernel_, stride_, &argmax_);
 }
 
 Tensor
@@ -117,10 +127,10 @@ MaxPool2d::backward(const Tensor &d_out)
 // --------------------------------------------------------- GlobalAvgPool
 
 Tensor
-GlobalAvgPool::forward(const Tensor &in, bool)
+GlobalAvgPool::forward(const Tensor &in, bool train)
 {
-    inShape_ = in.shape();
-    lastMacs_ = 0;
+    if (train)
+        inShape_ = in.shape();
     return tensor::globalAvgPoolForward(in);
 }
 
@@ -133,14 +143,14 @@ GlobalAvgPool::backward(const Tensor &d_out)
 // --------------------------------------------------------------- Flatten
 
 Tensor
-Flatten::forward(const Tensor &in, bool)
+Flatten::forward(const Tensor &in, bool train)
 {
-    inShape_ = in.shape();
     TT_ASSERT(in.rank() >= 2, "flatten expects a batch dimension");
+    if (train)
+        inShape_ = in.shape();
     Tensor out = in;
     std::size_t n = in.dim(0);
     out.reshape({n, in.size() / n});
-    lastMacs_ = 0;
     return out;
 }
 

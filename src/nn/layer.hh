@@ -2,10 +2,12 @@
  * @file
  * Layer abstraction for the from-scratch CNN substrate.
  *
- * Layers are stateful: forward() caches whatever backward() needs, so
- * a network instance must not interleave two half-finished batches.
- * Each trainable parameter is exposed through Param so the optimizer
- * can update all layers uniformly.
+ * A training forward() caches whatever backward() needs, so a network
+ * must not interleave two half-finished training batches. An
+ * inference forward() writes no member state, so any number of
+ * threads may run inference through one network at once. Each
+ * trainable parameter is exposed through Param so the optimizer can
+ * update all layers uniformly.
  */
 
 #ifndef TOLTIERS_NN_LAYER_HH
@@ -48,12 +50,10 @@ class Layer
     virtual std::string name() const = 0;
 
     /**
-     * Forward pass. With train=true, implementations cache the
-     * activations backward() needs; with train=false the layers that
-     * would have to copy their input (Conv2d, Dense, Relu) skip the
-     * cache so the inference path stays allocation free — backward()
-     * after an inference-mode forward is valid only for the cheap
-     * shape-caching layers (MaxPool2d, GlobalAvgPool, Flatten).
+     * Forward pass. With train=true, implementations cache what
+     * backward() needs; with train=false they write no member state
+     * (concurrent inference calls are safe), and backward() is valid
+     * only after a training forward.
      */
     virtual tensor::Tensor forward(const tensor::Tensor &in,
                                    bool train) = 0;
@@ -64,11 +64,8 @@ class Layer
     /** Trainable parameters (empty for stateless layers). */
     virtual std::vector<Param *> params() { return {}; }
 
-    /** MACs performed by the most recent forward() call. */
-    std::uint64_t lastMacs() const { return lastMacs_; }
-
-  protected:
-    std::uint64_t lastMacs_ = 0;
+    /** MACs one forward() over an input of this shape performs. */
+    virtual std::uint64_t macs(const tensor::Shape &) const { return 0; }
 };
 
 /** 2-D convolution with bias. */
@@ -87,6 +84,7 @@ class Conv2d : public Layer
                            bool train) override;
     tensor::Tensor backward(const tensor::Tensor &d_out) override;
     std::vector<Param *> params() override { return {&w_, &b_}; }
+    std::uint64_t macs(const tensor::Shape &in) const override;
 
     const tensor::ConvGeometry &geometry() const { return g_; }
 
@@ -114,6 +112,7 @@ class Dense : public Layer
                            bool train) override;
     tensor::Tensor backward(const tensor::Tensor &d_out) override;
     std::vector<Param *> params() override { return {&w_, &b_}; }
+    std::uint64_t macs(const tensor::Shape &in) const override;
 
     /** Trained weights [in, out] (read-only, for quantization). */
     const tensor::Tensor &weight() const { return w_.value; }

@@ -22,11 +22,8 @@ Network::forward(const Tensor &in, bool train)
 {
     TT_ASSERT(!layers_.empty(), "forward on an empty network");
     Tensor x = in;
-    lastMacs_ = 0;
-    for (auto &layer : layers_) {
+    for (auto &layer : layers_)
         x = layer->forward(x, train);
-        lastMacs_ += layer->lastMacs();
-    }
     return x;
 }
 
@@ -68,9 +65,14 @@ Network::parameterCount()
 std::uint64_t
 Network::macsPerSample(const tensor::Shape &shape)
 {
-    Tensor probe(shape.prepended(1));
-    forward(probe, false);
-    return lastMacs_;
+    TT_ASSERT(!layers_.empty(), "macs of an empty network");
+    Tensor x(shape.prepended(1));
+    std::uint64_t total = 0;
+    for (auto &layer : layers_) {
+        total += layer->macs(x.shape());
+        x = layer->forward(x, false);
+    }
+    return total;
 }
 
 std::vector<Prediction>

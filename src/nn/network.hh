@@ -44,7 +44,10 @@ class Network
     /** Number of layers. */
     std::size_t depth() const { return layers_.size(); }
 
-    /** Forward pass to logits. */
+    /**
+     * Forward pass to logits. An inference pass (train=false) writes
+     * no state, so threads may share one network for inference.
+     */
     tensor::Tensor forward(const tensor::Tensor &in, bool train);
 
     /** Backward pass from the loss gradient w.r.t. logits. */
@@ -59,12 +62,10 @@ class Network
     /** Total trainable scalar count. */
     std::size_t parameterCount();
 
-    /** MACs of the most recent forward() call. */
-    std::uint64_t lastForwardMacs() const { return lastMacs_; }
-
     /**
      * MACs for a single sample of the given shape (runs one dry
-     * forward pass on a zero batch of one).
+     * inference pass on a zero batch of one to learn each layer's
+     * input shape).
      */
     std::uint64_t macsPerSample(const tensor::Shape &shape);
 
@@ -83,7 +84,6 @@ class Network
   private:
     std::string name_;
     std::vector<std::unique_ptr<Layer>> layers_;
-    std::uint64_t lastMacs_ = 0;
 };
 
 } // namespace toltiers::nn

@@ -52,17 +52,20 @@ QDense::forward(const Tensor &in, bool)
     TT_ASSERT(in.rank() == 2 && in.dim(1) == in_,
               "QDense input shape mismatch");
     std::size_t m = in.dim(0);
-    qin_.resize(m * in_);
-    tensor::quantizeBuffer(in.data(), m * in_, inQuant_, qin_.data());
-    acc_.assign(m * out_, 0);
-    tensor::kernels::gemmS8(qin_.data(), qw_.data(), acc_.data(), m,
+    // Per-thread scratch: reused across calls without being state.
+    thread_local std::vector<std::int8_t> qin;
+    thread_local std::vector<std::int32_t> acc;
+    qin.resize(m * in_);
+    tensor::quantizeBuffer(in.data(), m * in_, inQuant_, qin.data());
+    acc.assign(m * out_, 0);
+    tensor::kernels::gemmS8(qin.data(), qw_.data(), acc.data(), m,
                             in_, out_);
 
     Tensor out({m, out_});
     float sa = inQuant_.scale;
     std::int32_t za = inQuant_.zeroPoint;
     for (std::size_t i = 0; i < m; ++i) {
-        const std::int32_t *arow = acc_.data() + i * out_;
+        const std::int32_t *arow = acc.data() + i * out_;
         float *orow = out.data() + i * out_;
         for (std::size_t j = 0; j < out_; ++j) {
             orow[j] = static_cast<float>(arow[j] - za * colSum_[j]) *
@@ -70,8 +73,13 @@ QDense::forward(const Tensor &in, bool)
                       bias_[j];
         }
     }
-    lastMacs_ = tensor::denseMacs(m, in_, out_);
     return out;
+}
+
+std::uint64_t
+QDense::macs(const tensor::Shape &in) const
+{
+    return tensor::denseMacs(in[0], in_, out_);
 }
 
 Tensor
@@ -119,16 +127,19 @@ QConv2d::forward(const Tensor &in, bool)
     Tensor out({n, filters_, oh, ow});
     float sa = inQuant_.scale;
     std::int32_t za = inQuant_.zeroPoint;
+    // Per-thread scratch: reused across calls without being state.
+    thread_local std::vector<std::int8_t> qcols;
+    thread_local std::vector<std::int32_t> acc;
     for (std::size_t s = 0; s < n; ++s) {
         Tensor cols = tensor::im2col(in, s, g_);
-        qcols_.resize(ckk * ohow);
+        qcols.resize(ckk * ohow);
         tensor::quantizeBuffer(cols.data(), ckk * ohow, inQuant_,
-                               qcols_.data());
-        acc_.assign(filters_ * ohow, 0);
-        tensor::kernels::gemmS8(qw_.data(), qcols_.data(),
-                                acc_.data(), filters_, ckk, ohow);
+                               qcols.data());
+        acc.assign(filters_ * ohow, 0);
+        tensor::kernels::gemmS8(qw_.data(), qcols.data(), acc.data(),
+                                filters_, ckk, ohow);
         for (std::size_t f = 0; f < filters_; ++f) {
-            const std::int32_t *arow = acc_.data() + f * ohow;
+            const std::int32_t *arow = acc.data() + f * ohow;
             float *orow = out.data() + ((s * filters_ + f) * ohow);
             float scale = sa * wScale_[f];
             std::int32_t corr = za * rowSum_[f];
@@ -138,9 +149,13 @@ QConv2d::forward(const Tensor &in, bool)
             }
         }
     }
-    lastMacs_ = tensor::convMacs(n, cIn_, in.dim(2), in.dim(3),
-                                 filters_, g_);
     return out;
+}
+
+std::uint64_t
+QConv2d::macs(const tensor::Shape &in) const
+{
+    return tensor::convMacs(in[0], cIn_, in[2], in[3], filters_, g_);
 }
 
 Tensor

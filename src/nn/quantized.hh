@@ -14,7 +14,9 @@
  *
  * Quantized layers are inference-only: backward() panics and
  * params() is empty, so they are invisible to the optimizer and the
- * weight serializer.
+ * weight serializer. Their integer scratch buffers are per thread,
+ * so forward() writes no member state and threads may share a
+ * quantized network.
  */
 
 #ifndef TOLTIERS_NN_QUANTIZED_HH
@@ -45,6 +47,7 @@ class QDense : public Layer
     tensor::Tensor forward(const tensor::Tensor &in,
                            bool train) override;
     tensor::Tensor backward(const tensor::Tensor &d_out) override;
+    std::uint64_t macs(const tensor::Shape &in) const override;
 
   private:
     std::size_t in_;
@@ -54,8 +57,6 @@ class QDense : public Layer
     std::vector<float> wScale_;       //!< Per-output-channel scale.
     std::vector<std::int32_t> colSum_; //!< Per-column weight sums.
     std::vector<float> bias_;
-    std::vector<std::int8_t> qin_;    //!< Reused input scratch.
-    std::vector<std::int32_t> acc_;   //!< Reused accumulator scratch.
 };
 
 /** int8 convolution via im2col + int8 GEMM (inference only). */
@@ -76,6 +77,7 @@ class QConv2d : public Layer
     tensor::Tensor forward(const tensor::Tensor &in,
                            bool train) override;
     tensor::Tensor backward(const tensor::Tensor &d_out) override;
+    std::uint64_t macs(const tensor::Shape &in) const override;
 
   private:
     tensor::ConvGeometry g_;
@@ -86,8 +88,6 @@ class QConv2d : public Layer
     std::vector<float> wScale_;        //!< Per-filter scale.
     std::vector<std::int32_t> rowSum_; //!< Per-filter weight sums.
     std::vector<float> bias_;
-    std::vector<std::int8_t> qcols_;   //!< Reused column scratch.
-    std::vector<std::int32_t> acc_;    //!< Reused accumulator scratch.
 };
 
 /**

@@ -84,34 +84,67 @@ gemmF32Reference(const float *a, const float *b, float *c,
     }
 }
 
+namespace {
+
+/**
+ * One row of A against an NR-column panel of B: the NR accumulators
+ * live in local variables for the whole k sweep, so C is loaded and
+ * stored once. With a single row the skip-zero test skips a whole k
+ * step, which leaves the loop free of conditional stores and lets
+ * gcc keep the accumulators in vector registers; NR = 32 gives eight
+ * independent SSE add chains. Each element still sums its products
+ * in ascending k with the Reference's zero skip.
+ */
+template <std::size_t NR>
+void
+gemmRowPanel(const float *arow, const float *b, float *c,
+             std::size_t k, std::size_t n)
+{
+    float acc[NR];
+    for (std::size_t j = 0; j < NR; ++j)
+        acc[j] = c[j];
+    for (std::size_t kk = 0; kk < k; ++kk) {
+        float av = arow[kk];
+        if (av == 0.0f)
+            continue;
+        const float *brow = b + kk * n;
+        for (std::size_t j = 0; j < NR; ++j)
+            acc[j] += av * brow[j];
+    }
+    for (std::size_t j = 0; j < NR; ++j)
+        c[j] = acc[j];
+}
+
+/**
+ * Every NR-wide column panel left from column j0 on, panel
+ * outermost so its k x NR slice of B stays in L1 across the rows.
+ * Returns the first column not covered.
+ */
+template <std::size_t NR>
+std::size_t
+gemmPanels(const float *a, const float *b, float *c, std::size_t m,
+           std::size_t k, std::size_t n, std::size_t j0)
+{
+    for (; j0 + NR <= n; j0 += NR) {
+        for (std::size_t i = 0; i < m; ++i)
+            gemmRowPanel<NR>(a + i * k, b + j0, c + i * n + j0, k, n);
+    }
+    return j0;
+}
+
+} // namespace
+
 void
 gemmF32Blocked(const float *a, const float *b, float *c,
                std::size_t m, std::size_t k, std::size_t n)
 {
-    // Register/cache blocking: MR rows of A share each B row load and
-    // an NB-column C tile stays hot in L1 across the whole k sweep.
-    // Each element still accumulates products in ascending k with the
-    // same zero skip as the reference, so the result is bit-exact.
-    constexpr std::size_t MR = 4;
-    constexpr std::size_t NB = 64;
-    for (std::size_t j0 = 0; j0 < n; j0 += NB) {
-        std::size_t jend = std::min(j0 + NB, n);
-        for (std::size_t i0 = 0; i0 < m; i0 += MR) {
-            std::size_t iend = std::min(i0 + MR, m);
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const float *brow = b + kk * n;
-                for (std::size_t i = i0; i < iend; ++i) {
-                    float av = a[i * k + kk];
-                    if (av == 0.0f)
-                        continue;
-                    float *crow = c + i * n;
-#pragma omp simd
-                    for (std::size_t j = j0; j < jend; ++j)
-                        crow[j] += av * brow[j];
-                }
-            }
-        }
-    }
+    // Full 32-wide panels, then at most one each of 16/8/4 and up to
+    // three single columns for the remainder.
+    std::size_t j = gemmPanels<32>(a, b, c, m, k, n, 0);
+    j = gemmPanels<16>(a, b, c, m, k, n, j);
+    j = gemmPanels<8>(a, b, c, m, k, n, j);
+    j = gemmPanels<4>(a, b, c, m, k, n, j);
+    gemmPanels<1>(a, b, c, m, k, n, j);
 }
 
 void

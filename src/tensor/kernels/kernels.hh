@@ -6,14 +6,18 @@
  *
  *  - Reference: the original scalar ikj loop, kept verbatim as the
  *    correctness oracle.
- *  - Blocked: cache-blocked (4-row × 64-column tiles) with portable
- *    `#pragma omp simd` vectorization hints.
+ *  - Blocked: register-blocked. One row of A runs against a 32-column
+ *    panel of B whose accumulators stay in local variables (vector
+ *    registers under gcc) for the whole k sweep, so C is loaded and
+ *    stored once; narrower panels take the column remainder. Plain
+ *    C++ that the compiler vectorizes at the baseline ISA.
  *
  * The Blocked backend is **bit-exact** against Reference: every
  * output element is accumulated in ascending-k order with the same
- * skip-zero test, so tiling changes memory traffic but not a single
+ * skip-zero test, so blocking changes memory traffic but not a single
  * rounding step (tests/kernels_test.cc proves this property on
- * random streams and edge shapes).
+ * random streams, edge shapes, infinite operands and every zoo
+ * network).
  *
  * All GEMMs use the accumulate contract C += A·B; callers pass a
  * zero-initialized C (Tensor construction already guarantees this).
@@ -40,7 +44,7 @@ namespace toltiers::tensor {
 enum class KernelBackend
 {
     Reference, //!< Scalar oracle (original ikj loop).
-    Blocked,   //!< Tiled + simd-hinted, bit-exact vs Reference.
+    Blocked,   //!< Register-blocked, bit-exact vs Reference.
 };
 
 /** The process-wide kernel selection. */
@@ -74,10 +78,10 @@ void gemmF32Reference(const float *a, const float *b, float *c,
                       std::size_t m, std::size_t k, std::size_t n);
 
 /**
- * C[m,n] += A[m,k] · B[k,n], cache-blocked. Per-element accumulation
- * order is identical to gemmF32Reference (ascending k, same zero
- * skip), so results are bit-identical; only the traversal of (i, j)
- * tiles differs.
+ * C[m,n] += A[m,k] · B[k,n], register-blocked. Per-element
+ * accumulation order is identical to gemmF32Reference (ascending k,
+ * same zero skip), so results are bit-identical; only where the
+ * partial sums live between steps differs.
  */
 void gemmF32Blocked(const float *a, const float *b, float *c,
                     std::size_t m, std::size_t k, std::size_t n);

@@ -109,32 +109,39 @@ Tensor
 im2col(const Tensor &in, std::size_t sample, const ConvGeometry &g)
 {
     TT_ASSERT(in.rank() == 4, "im2col expects NCHW input");
+    TT_ASSERT(sample < in.dim(0), "im2col sample out of range");
     std::size_t c = in.dim(1), h = in.dim(2), w = in.dim(3);
     std::size_t oh = g.outExtent(h), ow = g.outExtent(w);
+    // Tensor storage starts zeroed, so only in-bounds taps are
+    // written; padding stays zero.
     Tensor cols({c * g.kernel * g.kernel, oh * ow});
-    float *pc = cols.data();
+    const long pad = static_cast<long>(g.pad);
+    const long stride = static_cast<long>(g.stride);
+    const long width = static_cast<long>(w);
+    const float *plane = in.data() + sample * c * h * w;
+    float *dst = cols.data();
 
-    std::size_t row = 0;
-    for (std::size_t ch = 0; ch < c; ++ch) {
-        for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-            for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
-                float *dst = pc + row * (oh * ow);
+    for (std::size_t ch = 0; ch < c; ++ch, plane += h * w) {
+        for (long ky = 0; ky < static_cast<long>(g.kernel); ++ky) {
+            for (long kx = 0; kx < static_cast<long>(g.kernel);
+                 ++kx, dst += oh * ow) {
+                // Output columns whose tap ox*stride + kx - pad lands
+                // inside the row: [ox_lo, ox_hi).
+                long ox_lo =
+                    kx >= pad ? 0 : (pad - kx + stride - 1) / stride;
+                long last = width - 1 + pad - kx;
+                long ox_hi = last < 0
+                                 ? 0
+                                 : std::min(static_cast<long>(ow),
+                                            last / stride + 1);
                 for (std::size_t oy = 0; oy < oh; ++oy) {
-                    long iy = static_cast<long>(oy * g.stride + ky) -
-                              static_cast<long>(g.pad);
-                    for (std::size_t ox = 0; ox < ow; ++ox) {
-                        long ix =
-                            static_cast<long>(ox * g.stride + kx) -
-                            static_cast<long>(g.pad);
-                        float v = 0.0f;
-                        if (iy >= 0 && iy < static_cast<long>(h) &&
-                            ix >= 0 && ix < static_cast<long>(w)) {
-                            v = in.at4(sample, ch,
-                                       static_cast<std::size_t>(iy),
-                                       static_cast<std::size_t>(ix));
-                        }
-                        dst[oy * ow + ox] = v;
-                    }
+                    long iy = static_cast<long>(oy) * stride + ky - pad;
+                    if (iy < 0 || iy >= static_cast<long>(h))
+                        continue;
+                    const float *row = plane + iy * width;
+                    float *out = dst + oy * ow;
+                    for (long ox = ox_lo; ox < ox_hi; ++ox)
+                        out[ox] = row[ox * stride + kx - pad];
                 }
             }
         }
@@ -272,14 +279,13 @@ maxPool2dForward(const Tensor &in, std::size_t kernel,
                  std::size_t stride)
 {
     PoolResult res;
-    res.out = maxPool2dForward(in, kernel, stride, res.argmax);
+    res.out = maxPool2dForward(in, kernel, stride, &res.argmax);
     return res;
 }
 
 Tensor
 maxPool2dForward(const Tensor &in, std::size_t kernel,
-                 std::size_t stride,
-                 std::vector<std::uint32_t> &argmax)
+                 std::size_t stride, std::vector<std::uint32_t> *argmax)
 {
     TT_ASSERT(in.rank() == 4, "maxPool2d expects NCHW");
     std::size_t n = in.dim(0), c = in.dim(1);
@@ -289,7 +295,8 @@ maxPool2dForward(const Tensor &in, std::size_t kernel,
     std::size_t ow = (w - kernel) / stride + 1;
 
     Tensor out({n, c, oh, ow});
-    argmax.resize(out.size());
+    if (argmax != nullptr)
+        argmax->resize(out.size());
 
     std::size_t oidx = 0;
     for (std::size_t s = 0; s < n; ++s) {
@@ -312,8 +319,10 @@ maxPool2dForward(const Tensor &in, std::size_t kernel,
                         }
                     }
                     out[oidx] = best;
-                    argmax[oidx] =
-                        static_cast<std::uint32_t>(best_idx);
+                    if (argmax != nullptr) {
+                        (*argmax)[oidx] =
+                            static_cast<std::uint32_t>(best_idx);
+                    }
                 }
             }
         }

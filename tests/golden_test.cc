@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -114,6 +115,7 @@ checkAgainstGolden(const bn::SweepResult &result,
     const std::string golden_path =
         std::string(TT_GOLDEN_DIR) + "/" + golden_name;
     if (std::getenv("TT_UPDATE_GOLDEN") != nullptr) {
+        std::filesystem::create_directories(TT_GOLDEN_DIR);
         bn::writeSweepCsv(result, golden_path);
         GTEST_SKIP() << "regenerated " << golden_path;
     }

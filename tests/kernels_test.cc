@@ -30,12 +30,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.hh"
@@ -43,6 +47,7 @@
 #include "core/rule_generator.hh"
 #include "dataset/synth_images.hh"
 #include "exec/rng.hh"
+#include "ic/classifier.hh"
 #include "ic/quantize.hh"
 #include "ic/trainer.hh"
 #include "ic/zoo.hh"
@@ -171,14 +176,25 @@ struct GemmShape
 const GemmShape kGemmShapes[] = {
     {1, 1, 1},    // minimal
     {1, 5, 1},    // odd K, single output
-    {3, 7, 5},    // everything below one tile
-    {4, 64, 64},  // exact MR x NB tile
-    {5, 3, 65},   // one column past the NB tile
-    {8, 129, 66}, // K past the int8 wrap point, j remainder
+    {3, 7, 5},    // one 4-wide panel plus a single column
+    {4, 64, 64},  // exactly two full 32-wide panels
+    {5, 3, 65},   // one column past the full panels
+    {8, 129, 66}, // K past the int8 wrap point, column remainder
     {17, 31, 129},
+    {3, 17, 127}, // every remainder width: 16 + 8 + 4 + 3 x 1
     {2, 0, 3},    // K = 0: C must be untouched
     {0, 4, 5},    // M = 0
     {6, 4, 0},    // N = 0
+    // Batch-1 shapes the served zoo runs: convolutions as filters x
+    // C*K*K x OH*OW, dense layers as 1 x features x outputs.
+    {16, 9, 144},
+    {32, 144, 144},
+    {48, 288, 36},
+    {48, 432, 36},
+    {24, 108, 144},
+    {32, 216, 36},
+    {1, 432, 96},
+    {1, 1152, 64},
 };
 
 TEST(GemmEquivalence, BlockedIsBitExactOnRandomStreams)
@@ -213,6 +229,42 @@ TEST(GemmEquivalence, ZeroKLeavesAccumulatorUntouched)
     EXPECT_EQ(std::memcmp(c.data(), want.data(),
                           c.size() * sizeof(float)),
               0);
+}
+
+TEST(GemmEquivalence, SkipZeroShieldsInfiniteRows)
+{
+    // Rows 3 and 6 of B hold +-inf. A is zero in column 3 for every
+    // row and in column 6 for even rows: the Reference skips those
+    // products, where 0 * inf would have made NaN.
+    const std::size_t m = 5, k = 9, n = 37;
+    auto a = randomStream(m * k, 201);
+    auto b = randomStream(k * n, 202);
+    const float inf = std::numeric_limits<float>::infinity();
+    for (std::size_t i = 0; i < m; ++i) {
+        a[i * k + 3] = 0.0f;
+        if (i % 2 == 0)
+            a[i * k + 6] = 0.0f;
+        else if (a[i * k + 6] == 0.0f)
+            a[i * k + 6] = 1.0f;
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+        b[3 * n + j] = j % 2 == 0 ? inf : -inf;
+        b[6 * n + j] = j % 3 == 0 ? -inf : inf;
+    }
+    auto c_ref = randomStream(m * n, 203);
+    auto c_blk = c_ref;
+    tk::gemmF32Reference(a.data(), b.data(), c_ref.data(), m, k, n);
+    tk::gemmF32Blocked(a.data(), b.data(), c_blk.data(), m, k, n);
+    EXPECT_EQ(std::memcmp(c_ref.data(), c_blk.data(),
+                          c_ref.size() * sizeof(float)),
+              0);
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            float v = c_blk[i * n + j];
+            ASSERT_FALSE(std::isnan(v)) << i << "," << j;
+            EXPECT_EQ(std::isinf(v), i % 2 == 1) << i << "," << j;
+        }
+    }
 }
 
 TEST(GemmEquivalence, DispatcherHonorsBackendSelection)
@@ -283,6 +335,101 @@ TEST(GemmEquivalence, OpsConvIsBackendInvariant)
     EXPECT_EQ(std::memcmp(ref.data(), blk.data(),
                           ref.size() * sizeof(float)),
               0);
+}
+
+TEST(GemmEquivalence, ZooNetworksAreBackendInvariant)
+{
+    BackendGuard guard;
+    for (const auto &spec : ti::zooSpecs()) {
+        tc::Pcg32 rng(31);
+        tn::Network net = ti::buildZooNetwork(
+            spec.name, 12, td::kImageClasses, rng);
+        for (std::size_t batch_size : {1u, 3u}) {
+            tt::Tensor batch({batch_size, 1, 12, 12});
+            batch.randomUniform(rng, 0.0f, 1.0f);
+
+            tt::setKernelBackend(tt::KernelBackend::Reference);
+            tt::Tensor ref_logits = net.forward(batch, false);
+            auto ref = net.predict(batch);
+            tt::setKernelBackend(tt::KernelBackend::Blocked);
+            tt::Tensor blk_logits = net.forward(batch, false);
+            auto blk = net.predict(batch);
+
+            ASSERT_EQ(ref_logits.size(), blk_logits.size());
+            EXPECT_EQ(std::memcmp(ref_logits.data(), blk_logits.data(),
+                                  ref_logits.size() * sizeof(float)),
+                      0)
+                << spec.name;
+            ASSERT_EQ(ref.size(), blk.size());
+            for (std::size_t i = 0; i < ref.size(); ++i) {
+                EXPECT_EQ(ref[i].label, blk[i].label) << spec.name;
+                EXPECT_EQ(std::memcmp(&ref[i].confidence,
+                                      &blk[i].confidence,
+                                      sizeof(double)),
+                          0)
+                    << spec.name;
+                EXPECT_EQ(std::memcmp(&ref[i].margin, &blk[i].margin,
+                                      sizeof(double)),
+                          0)
+                    << spec.name;
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------------- im2col
+
+/** im2col by its definition: one index computation per element. */
+std::vector<float>
+im2colByDefinition(const tt::Tensor &in, std::size_t s,
+                   const tt::ConvGeometry &g)
+{
+    std::size_t c = in.dim(1), h = in.dim(2), w = in.dim(3);
+    std::size_t oh = g.outExtent(h), ow = g.outExtent(w);
+    std::size_t taps = g.kernel * g.kernel;
+    std::vector<float> out(c * taps * oh * ow, 0.0f);
+    for (std::size_t r = 0; r < c * taps; ++r) {
+        std::size_t ch = r / taps;
+        std::size_t ky = r % taps / g.kernel, kx = r % g.kernel;
+        for (std::size_t p = 0; p < oh * ow; ++p) {
+            long iy = static_cast<long>(p / ow * g.stride + ky) -
+                      static_cast<long>(g.pad);
+            long ix = static_cast<long>(p % ow * g.stride + kx) -
+                      static_cast<long>(g.pad);
+            if (iy >= 0 && iy < static_cast<long>(h) && ix >= 0 &&
+                ix < static_cast<long>(w)) {
+                out[r * oh * ow + p] =
+                    in.at4(s, ch, static_cast<std::size_t>(iy),
+                           static_cast<std::size_t>(ix));
+            }
+        }
+    }
+    return out;
+}
+
+TEST(Im2col, MatchesDirectIndexComputation)
+{
+    tc::Pcg32 rng(12);
+    tt::Tensor in = randomTensor({2, 3, 7, 5}, rng); // non-square
+    for (std::size_t kernel : {2u, 3u}) {
+        for (std::size_t pad : {0u, 1u}) {
+            for (std::size_t stride : {1u, 2u}) {
+                tt::ConvGeometry g{kernel, stride, pad};
+                for (std::size_t s = 0; s < 2; ++s) {
+                    tt::Tensor cols = tt::im2col(in, s, g);
+                    auto want = im2colByDefinition(in, s, g);
+                    ASSERT_EQ(cols.dim(0), 3 * kernel * kernel);
+                    ASSERT_EQ(cols.size(), want.size());
+                    for (std::size_t i = 0; i < want.size(); ++i) {
+                        ASSERT_EQ(cols.data()[i], want[i])
+                            << "kernel " << kernel << " pad " << pad
+                            << " stride " << stride << " sample " << s
+                            << " element " << i;
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------ int8 GEMM
@@ -490,7 +637,8 @@ TEST(QuantizedLayers, QuantizedNetworkTracksFloatNetwork)
     for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_NEAR(got.data()[i], ref.data()[i], 0.25f) << i;
     // MACs describe the architecture, not the datatype.
-    EXPECT_EQ(qnet.lastForwardMacs(), net.lastForwardMacs());
+    EXPECT_EQ(qnet.macsPerSample({1, 12, 12}),
+              net.macsPerSample({1, 12, 12}));
 }
 
 TEST(QuantizedLayers, BackwardPanics)
@@ -614,6 +762,65 @@ TEST(Arena, WarmForwardPassIsHeapFree)
               mem_before.arenaAllocations);
 }
 
+// ------------------------------------------- concurrent inference
+//
+// Pool workers serving one version share its Classifier, so an
+// inference pass must write no layer or network state. Run under
+// -fsanitize=thread (the `kernels` label is in the TSan CI job) this
+// also proves the absence of data races, not just equal outputs.
+
+TEST(ConcurrentInference, SharedClassifierMatchesSerial)
+{
+    td::ImageSetConfig dc;
+    dc.count = 12;
+    dc.seed = 21;
+    td::ImageSet set = td::buildImageSet(dc);
+    constexpr std::size_t kThreads = 4;
+
+    for (const auto &spec : ti::zooSpecs()) {
+        tc::Pcg32 rng(41);
+        ti::Classifier clf(spec,
+                           ti::buildZooNetwork(spec.name, dc.size,
+                                               td::kImageClasses, rng),
+                           {1, dc.size, dc.size});
+        std::vector<ti::IcResult> want;
+        for (std::size_t i = 0; i < set.count(); ++i)
+            want.push_back(clf.classify(set, i));
+
+        std::vector<std::vector<ti::IcResult>> got(kThreads);
+        std::vector<std::thread> threads;
+        for (std::size_t t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                // Staggered starts put different images in flight.
+                for (std::size_t n = 0; n < set.count(); ++n) {
+                    std::size_t i = (n + t * 5) % set.count();
+                    got[t].push_back(clf.classify(set, i));
+                }
+            });
+        }
+        for (auto &th : threads)
+            th.join();
+
+        for (std::size_t t = 0; t < kThreads; ++t) {
+            ASSERT_EQ(got[t].size(), set.count());
+            for (std::size_t n = 0; n < set.count(); ++n) {
+                const ti::IcResult &r = got[t][n];
+                const ti::IcResult &w = want[(n + t * 5) % set.count()];
+                EXPECT_EQ(r.label, w.label) << spec.name;
+                EXPECT_EQ(std::memcmp(&r.confidence, &w.confidence,
+                                      sizeof(double)),
+                          0)
+                    << spec.name;
+                EXPECT_EQ(std::memcmp(&r.margin, &w.margin,
+                                      sizeof(double)),
+                          0)
+                    << spec.name;
+                EXPECT_EQ(r.macs, clf.macsPerImage()) << spec.name;
+            }
+        }
+    }
+}
+
 // ----------------------------------- end-to-end quantized accuracy
 //
 // A tiny zoo (quick to train, fully deterministic) plus its int8
@@ -687,6 +894,7 @@ TEST(QuantizedAccuracy, DegradationWithinGoldenBound)
         std::string(TT_GOLDEN_DIR) + "/q8_degradation.csv";
 
     if (std::getenv("TT_UPDATE_GOLDEN") != nullptr) {
+        std::filesystem::create_directories(TT_GOLDEN_DIR);
         std::ofstream out(golden_path);
         out << "# max top-1 degradation (points) of each -q8 sibling"
             << " vs its float parent;\n"
@@ -695,6 +903,8 @@ TEST(QuantizedAccuracy, DegradationWithinGoldenBound)
         for (std::size_t v = 0; v < 5; ++v)
             out << s.zoo[v + 5].name() << ","
                 << (s.error[v + 5] - s.error[v]) + 0.02 << "\n";
+        out.close();
+        ASSERT_FALSE(out.fail()) << "cannot write " << golden_path;
         GTEST_SKIP() << "regenerated " << golden_path;
     }
 

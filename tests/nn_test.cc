@@ -66,7 +66,7 @@ TEST(Layers, DenseForwardShape)
     Tensor out = d.forward(in, false);
     EXPECT_EQ(out.dim(0), 2u);
     EXPECT_EQ(out.dim(1), 3u);
-    EXPECT_EQ(d.lastMacs(), 2u * 4u * 3u);
+    EXPECT_EQ(d.macs(in.shape()), 2u * 4u * 3u);
 }
 
 TEST(Layers, DenseParamsExposed)
@@ -90,14 +90,14 @@ TEST(Layers, Conv2dForwardShapeAndMacs)
     EXPECT_EQ(out.dim(0), 3u);
     EXPECT_EQ(out.dim(1), 5u);
     EXPECT_EQ(out.dim(2), 6u);
-    EXPECT_EQ(c.lastMacs(), 3ull * 5 * 6 * 6 * 2 * 9);
+    EXPECT_EQ(c.macs(in.shape()), 3ull * 5 * 6 * 6 * 2 * 9);
 }
 
 TEST(Layers, FlattenRoundTrip)
 {
     tn::Flatten f;
     Tensor in({2, 3, 4, 4});
-    Tensor out = f.forward(in, false);
+    Tensor out = f.forward(in, true);
     EXPECT_EQ(out.dim(0), 2u);
     EXPECT_EQ(out.dim(1), 48u);
     Tensor back = f.backward(out);
@@ -108,7 +108,7 @@ TEST(Layers, MaxPoolShape)
 {
     tn::MaxPool2d p(2, 2);
     Tensor in({1, 3, 8, 8});
-    Tensor out = p.forward(in, false);
+    Tensor out = p.forward(in, true);
     EXPECT_EQ(out.dim(2), 4u);
     Tensor back = p.backward(out);
     EXPECT_EQ(back.shape(), in.shape());

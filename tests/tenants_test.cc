@@ -470,11 +470,13 @@ TEST(FrontDoorTenants, TeardownWaitsForTrailingPumpTasks)
         std::atomic<bool> stop{false};
         std::atomic<int> completed{0};
         {
+            // `launch` is declared before the door so it outlives
+            // the door's destructor, which drains every callback:
+            // one that read `stop` just before it was set still
+            // calls launch() while the scope is being left.
+            std::function<void()> launch;
             co::TierFrontDoor door(svc, cfg);
-            // `launch` outlives every callback that can call it:
-            // callbacks re-check `stop` (declared outside the door
-            // scope) first, and `stop` is set before scope exit.
-            std::function<void()> launch = [&] {
+            launch = [&] {
                 (void)door.submitAsync(
                     tenantRequest("chain"),
                     [&](const co::TierResponse &) {
